@@ -4,7 +4,7 @@ from .avc import AccessVectorCache, AvcCore
 from .blob import clear_blob, ensure_blob, get_blob, set_blob
 from .capability import CapabilityLsm
 from .framework import HookStats, LsmFramework, boot_kernel
-from .hooks import DECISION_HOOKS, HOOK_BIT, HOT_PATH_HOOKS, Hook
+from .hooks import DECISION_HOOKS, HOT_PATH_HOOKS, Hook
 from .module import LsmModule
 from .securityfs import SECURITYFS_ROOT, SecurityFs
 
@@ -12,6 +12,5 @@ __all__ = [
     "AccessVectorCache", "AvcCore",
     "clear_blob", "ensure_blob", "get_blob", "set_blob", "CapabilityLsm",
     "HookStats", "LsmFramework", "boot_kernel", "Hook", "DECISION_HOOKS",
-    "HOOK_BIT", "HOT_PATH_HOOKS", "LsmModule", "SecurityFs",
-    "SECURITYFS_ROOT",
+    "HOT_PATH_HOOKS", "LsmModule", "SecurityFs", "SECURITYFS_ROOT",
 ]

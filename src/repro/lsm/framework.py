@@ -11,9 +11,11 @@ The capability module is always implicitly first, as in Linux.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..kernel.credentials import Capability
 from ..kernel.security import SecurityHooks
@@ -22,7 +24,7 @@ from ..obs.tracepoints import LSM_HOOK_DISPATCH
 from .avc import AV_ALL, KEY_EXTRACTORS, VECTOR_HOOKS, AccessVectorCache
 from .capability import CapabilityLsm
 from .dtable import DecisionTable
-from .hooks import HOOK_BIT, Hook
+from .hooks import Hook
 from .module import LsmModule
 
 
@@ -33,11 +35,11 @@ class HookStats:
         self.calls: Counter = Counter()
         self.denials: Counter = Counter()
 
-    def record(self, module: str, hook: Hook, denied: bool) -> None:
-        key = f"{module}.{hook.value}"
-        self.calls[key] += 1
+    def record(self, site: str, denied: bool) -> None:
+        """Count one call of *site* (``"module.hook"``)."""
+        self.calls[site] += 1
         if denied:
-            self.denials[key] += 1
+            self.denials[site] += 1
 
     def total_calls(self) -> int:
         return self.calls.total()
@@ -64,6 +66,36 @@ class HookStats:
         self.denials.clear()
 
 
+@dataclass(frozen=True, slots=True)
+class HookPlan:
+    """Everything dispatch needs to know about one hook, fixed at boot.
+
+    Only modules that override the hook appear in :attr:`entries`, as on
+    the per-hook lists Linux builds at ``security_init`` time.  The cache
+    fields are filled only when every listed module opted in to caching
+    (``avc_cacheable``) and the hook has a key extractor: one opaque
+    module poisons the hook, not the stack.
+    """
+
+    hook: Hook
+    #: ``(module name, "module.hook" stats site, bound method)`` per
+    #: implementing module, in stack order.
+    entries: Tuple[Tuple[str, str, Callable], ...]
+    #: Maps the hook's arguments to ``(object key, mask)``; None when the
+    #: hook is never cached.
+    extractor: Optional[Callable] = None
+    #: One ``avc_subject_key`` per listed module.
+    subject_fns: Tuple[Callable, ...] = ()
+    #: One ``compute_av`` per listed module when every module offers one
+    #: (a miss then pre-fills the whole vector), else None.
+    compute_fns: Optional[Tuple[Callable, ...]] = None
+    #: The listed modules when the hook's decisions can be precompiled
+    #: into the decision table (:data:`VECTOR_HOOKS` whose modules all
+    #: implement ``table_subject_keys``, ``table_paths`` and the pure
+    #: ``compute_av_for_subject``), else None.
+    table_modules: Optional[Tuple[LsmModule, ...]] = None
+
+
 class LsmFramework(SecurityHooks):
     """Hook multiplexer over an ordered list of :class:`LsmModule`."""
 
@@ -83,79 +115,42 @@ class LsmFramework(SecurityHooks):
         names = [m.name for m in self.modules]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate LSM names in stack: {names}")
-        # Per-hook call lists, as Linux builds at security_init time: only
-        # modules that actually override a hook appear on its list, so
-        # unimplemented hooks cost nothing at dispatch time.
-        self._hook_lists: Dict[Hook, List] = {}
-        for hook in Hook:
-            entries = []
-            for module in self.modules:
-                method = getattr(type(module), hook.value, None)
-                if method is not None and method is not getattr(
-                        LsmModule, hook.value):
-                    entries.append((module.name,
-                                    getattr(module, hook.value)))
-            self._hook_lists[hook] = entries
-        # Implemented-hook bitmap: one bit per hook anyone implements.
-        # ``_call_int`` tests it before any other dispatch bookkeeping,
-        # so hooks no module cares about cost a single ``and``.
-        self.hook_bitmap = 0
-        for hook, entries in self._hook_lists.items():
-            if entries:
-                self.hook_bitmap |= HOOK_BIT[hook]
+        #: One plan per hook; None when no module implements it, so such
+        #: hooks cost a single dict probe at dispatch time.
+        self._plans: Dict[Hook, Optional[HookPlan]] = {
+            hook: self._build_plan(hook) for hook in Hook}
         self.avc = AccessVectorCache(capacity=avc_capacity)
-        self._avc_plans: Dict[Hook, Optional[tuple]] = {
-            hook: self._build_avc_plan(hook) for hook in Hook}
         #: Precompiled decision table (see repro.lsm.dtable): consulted
         #: before the AVC when enabled; rebuilt on every epoch bump.
         self.dtable = DecisionTable()
-        self._dtable_plans: Dict[Hook, Optional[tuple]] = {
-            hook: self._build_dtable_plan(hook) for hook in Hook}
         self.avc.on_bump = self._on_avc_bump
 
-    def _build_avc_plan(self, hook: Hook) -> Optional[tuple]:
-        """Precompute the AVC recipe for *hook*, or None if uncacheable.
-
-        A hook is cacheable only when every module on its call list opted
-        in (``avc_cacheable``) — one opaque module poisons the hook, not
-        the stack.  The plan is ``(extractor, subject_key_fns,
-        compute_av_fns)``; the last is None unless every module offers a
-        ``compute_av`` to pre-fill the whole vector on a miss.
-        """
+    def _build_plan(self, hook: Hook) -> Optional[HookPlan]:
+        default = getattr(LsmModule, hook.value)
+        modules = tuple(m for m in self.modules
+                        if getattr(type(m), hook.value, None)
+                        not in (None, default))
+        if not modules:
+            return None
+        entries = tuple((m.name, f"{m.name}.{hook.value}",
+                         getattr(m, hook.value)) for m in modules)
         extractor = KEY_EXTRACTORS.get(hook)
-        entries = self._hook_lists[hook]
-        if extractor is None or not entries:
-            return None
-        modules = [self.module_named(name) for name, _method in entries]
-        if not all(getattr(m, "avc_cacheable", False) for m in modules):
-            return None
-        subject_fns = tuple(m.avc_subject_key for m in modules)
-        compute_fns = None
+        if extractor is None or not all(
+                getattr(m, "avc_cacheable", False) for m in modules):
+            return HookPlan(hook, entries)
+        compute_fns = table_modules = None
         if hook in VECTOR_HOOKS:
             fns = tuple(getattr(m, "compute_av", None) for m in modules)
             if all(fns):
                 compute_fns = fns
-        return extractor, subject_fns, compute_fns
-
-    def _build_dtable_plan(self, hook: Hook) -> Optional[tuple]:
-        """The module tuple whose decisions *hook* can precompile, or None.
-
-        A hook is table-able only when it is AVC-cacheable, its vectors
-        carry real MAY_* masks (:data:`VECTOR_HOOKS`), and every module
-        on its call list implements the enumeration protocol —
-        ``table_subject_keys()``, ``table_paths()``, and the pure
-        ``compute_av_for_subject()``.
-        """
-        if hook not in VECTOR_HOOKS or self._avc_plans[hook] is None:
-            return None
-        modules = tuple(self.module_named(name)
-                        for name, _method in self._hook_lists[hook])
-        if not all(hasattr(m, "table_subject_keys")
+            if all(hasattr(m, "table_subject_keys")
                    and hasattr(m, "table_paths")
                    and hasattr(m, "compute_av_for_subject")
                    for m in modules):
-            return None
-        return modules
+                table_modules = modules
+        return HookPlan(hook, entries, extractor,
+                        tuple(m.avc_subject_key for m in modules),
+                        compute_fns, table_modules)
 
     def _on_avc_bump(self, reason: str, epoch: int) -> None:
         """Epoch moved: the old table is wrong.  Recompile eagerly while
@@ -173,9 +168,9 @@ class LsmFramework(SecurityHooks):
         literal governed paths, storing the AND of every module's pure
         access vector — zero vectors are dropped, keeping the table
         allows-only."""
-        import itertools
         entries: Dict[tuple, int] = {}
-        for hook, modules in self._dtable_plans.items():
+        for plan in self._plans.values():
+            modules = plan.table_modules if plan is not None else None
             if modules is None:
                 continue
             subject_keys = [list(m.table_subject_keys())
@@ -192,7 +187,7 @@ class LsmFramework(SecurityHooks):
                         if not vector:
                             break
                     if vector:
-                        entries[(hook, subject, path)] = vector
+                        entries[(plan.hook, subject, path)] = vector
         self.dtable.install(entries, self.avc.core.epoch)
         return len(entries)
 
@@ -380,73 +375,62 @@ class LsmFramework(SecurityHooks):
         obs.denial(module, hook.value, self._object_path(args), task, rc)
 
     def _call_int(self, hook: Hook, *args) -> int:
-        """Walk the hook's call list; first nonzero return wins (deny).
+        """Dispatch a decision hook; first nonzero module return wins (deny).
 
-        Three fast paths run before any dispatch bookkeeping: the
-        implemented-hook bitmap (nobody registered → allow, one ``and``),
-        the precompiled decision table (when enabled: the whole allow
-        surface for this epoch, one dict probe, no miss path to
-        maintain), and the AVC (a live cache entry proving every module
-        already allowed this (subject, object, mask) → allow without
-        walking).  Denials are never cached in either structure — they
-        must reach the modules so audit records, denial counters and
-        span attribution still fire.
+        One plan probe decides everything static: no plan means nobody
+        implements the hook (allow); a cacheable plan builds the cache
+        key ``(hook, subject, object)`` once and tries the precompiled
+        decision table (when enabled: the whole allow surface for this
+        epoch, one dict probe, no miss path to maintain) and then the
+        AVC (a live entry proving every module already allowed this
+        mask) with that same key.  Anything else walks the modules.
+        Denials are never cached in either structure — they must reach
+        the modules so audit records, denial counters and span
+        attribution still fire.
         """
-        if not self.hook_bitmap & HOOK_BIT[hook]:
+        plan = self._plans[hook]
+        if plan is None:
             return 0
         avc = self.avc
         dtable = self.dtable
-        if dtable.enabled:
-            modules = self._dtable_plans[hook]
-            if modules is not None:
-                if dtable.built_epoch != avc.core.epoch:
-                    # Self-heal: first use after enable, or a bump that
-                    # bypassed the wrapper (direct core access).
-                    self.rebuild_dtable()
-                extractor, subject_fns, _compute = self._avc_plans[hook]
-                object_mask = extractor(args)
-                if object_mask is not None:
-                    obj, mask = object_mask
-                    task = args[0]
-                    try:
-                        subject = tuple(fn(task) for fn in subject_fns)
-                    except TypeError:
-                        subject = (None,)
-                    if None not in subject and dtable.lookup(
-                            (hook, subject, obj), mask, avc.core.epoch):
-                        return self._avc_hit(hook, args, source="dtable")
-        if avc.enabled:
-            plan = self._avc_plans[hook]
-            if plan is not None:
-                extractor, subject_fns, compute_fns = plan
-                object_mask = extractor(args)
-                if object_mask is not None:
-                    obj, mask = object_mask
-                    task = args[0]
-                    key = None
-                    hit = False
-                    try:
-                        subject = tuple(fn(task) for fn in subject_fns)
-                        if None not in subject:
-                            key = (hook, subject, obj)
-                            hit = avc.core.lookup_vector(key, mask)
-                    except TypeError:
-                        key = None  # unhashable key part: don't cache
-                    if hit:
-                        return self._avc_hit(hook, args)
-                    rc = self._dispatch_int(hook, args)
-                    if rc == 0 and key is not None:
-                        if compute_fns is not None:
-                            vector = AV_ALL
-                            for fn in compute_fns:
-                                vector &= fn(task, obj)
-                            avc.core.extend_vector(key, vector | mask)
-                        else:
-                            avc.core.extend_vector(key, mask)
-                    return rc
-        return self._dispatch_int(hook, args)
+        use_table = dtable.enabled and plan.table_modules is not None
+        if plan.extractor is None or not (use_table or avc.enabled):
+            return self._dispatch_int(plan, args)
+        core = avc.core
+        if use_table and dtable.built_epoch != core.epoch:
+            # Self-heal: first use after enable, or a bump that bypassed
+            # the wrapper (direct core access).
+            self.rebuild_dtable()
+        object_mask = plan.extractor(args)
+        if object_mask is None:
+            return self._dispatch_int(plan, args)
+        obj, mask = object_mask
+        task = args[0]
+        source = None
+        try:
+            subject = tuple([fn(task) for fn in plan.subject_fns])
+            key = None if None in subject else (hook, subject, obj)
+            if key is not None:
+                if use_table and dtable.lookup(key, mask, core.epoch):
+                    source = "dtable"
+                elif avc.enabled and core.lookup_vector(key, mask):
+                    source = "avc"
+        except TypeError:
+            key = None  # unhashable key part: don't cache
+        if source is not None:
+            return self._avc_hit(plan, args, source)
+        rc = self._dispatch_int(plan, args)
+        if rc == 0 and key is not None and avc.enabled:
+            vector = mask
+            if plan.compute_fns is not None:
+                vector = AV_ALL
+                for fn in plan.compute_fns:
+                    vector &= fn(task, obj)
+                vector |= mask
+            core.extend_vector(key, vector)
+        return rc
 
-    def _avc_hit(self, hook: Hook, args, source: str = "avc") -> int:
+    def _avc_hit(self, plan: HookPlan, args, source: str) -> int:
         """Serve an allow from a cache/table, replaying the side effects
         an allowed module walk would have had (HookStats counters; an
         ``avc.hit``/``dtable.hit`` span when hooks are being watched) so
@@ -454,92 +438,90 @@ class LsmFramework(SecurityHooks):
         off."""
         stats = self.stats
         if stats is not None:
-            for name, _method in self._hook_lists[hook]:
-                stats.record(name, hook, denied=False)
+            for _name, site, _method in plan.entries:
+                stats.record(site, denied=False)
         spans = self._spans
         if spans is not None and spans.watch_hooks:
-            task = args[0] if args else None
-            span = spans.start_span(
-                f"lsm.{hook.value}", stage="hook", root=True,
-                attributes={"pid": getattr(task, "pid", 0),
-                            "comm": getattr(task, "comm", ""),
-                            f"{source}.hit": True})
-            if span is not None:
-                span.add_link(spans.consume_link())
-            spans.end_span(span)
+            spans.end_span(self._hook_span(plan.hook, args,
+                                           {f"{source}.hit": True}))
         return 0
 
-    def _dispatch_int(self, hook: Hook, args) -> int:
-        """The full module walk (AVC miss or uncacheable dispatch)."""
-        spans = self._spans
-        if spans is not None and spans.watch_hooks:
-            return self._call_int_spanned(hook, args)
-        latency = self._latency
-        tp = self._tp_hook
-        if latency is not None or (tp is not None and tp.callbacks):
-            return self._call_int_observed(hook, args)
-        stats = self.stats
-        for name, method in self._hook_lists[hook]:
-            rc = method(*args)
-            if stats is not None:
-                stats.record(name, hook, denied=rc != 0)
-            if rc != 0:
-                self._report_denial(hook, name, args, rc)
-                return rc
-        return 0
-
-    def _call_int_observed(self, hook: Hook, args) -> int:
-        """Dispatch with timing and the lsm:hook_dispatch tracepoint."""
-        stats = self.stats
-        tp = self._tp_hook
-        latency = self._latency
-        for name, method in self._hook_lists[hook]:
-            t0 = time.perf_counter_ns()
-            rc = method(*args)
-            dt = time.perf_counter_ns() - t0
-            if latency is not None:
-                self._latency_histogram(name, hook).record(dt)
-            if tp.callbacks:
-                tp.emit(module=name, hook=hook.value, rc=rc, latency_ns=dt)
-            if stats is not None:
-                stats.record(name, hook, denied=rc != 0)
-            if rc != 0:
-                self._report_denial(hook, name, args, rc)
-                return rc
-        return 0
-
-    def _call_int_spanned(self, hook: Hook, args) -> int:
-        """Dispatch wrapped in a root hook span *linked* to the trace that
+    def _hook_span(self, hook: Hook, args, extra=None):
+        """Open a root ``lsm.<hook>`` span *linked* to the trace that
         caused the current situation (the first K decisions after a
         transition).  The link is weaker than a parent/child edge: the
-        hook runs under the new state, it is not part of the transition's
-        critical path."""
+        hook runs under the new state, it is not part of the
+        transition's critical path."""
         spans = self._spans
         task = args[0] if args else None
-        span = spans.start_span(
-            f"lsm.{hook.value}", stage="hook", root=True,
-            attributes={"pid": getattr(task, "pid", 0),
-                        "comm": getattr(task, "comm", "")})
+        attributes = {"pid": getattr(task, "pid", 0),
+                      "comm": getattr(task, "comm", "")}
+        if extra:
+            attributes.update(extra)
+        span = spans.start_span(f"lsm.{hook.value}", stage="hook",
+                                root=True, attributes=attributes)
         if span is not None:
             span.add_link(spans.consume_link())
+        return span
+
+    def _dispatch_int(self, plan: HookPlan, args) -> int:
+        """The module walk of a decision hook (table/AVC miss, or a hook
+        that is never cached)."""
+        return self._walk(plan, args)
+
+    def _call_void(self, hook: Hook, *args) -> None:
+        plan = self._plans[hook]
+        if plan is not None:
+            self._walk(plan, args, void=True)
+
+    def _walk(self, plan: HookPlan, args, void: bool = False) -> int:
+        """Call every module on *plan*'s list in stack order.
+
+        For a decision hook the first nonzero return wins: the walk stops
+        there and reports the denial.  A void (notification) hook reaches
+        every module and never denies.  Observers cost nothing while off:
+        HookStats counters, per-(module, hook) latency histograms, the
+        ``lsm:hook_dispatch`` tracepoint and, for decision hooks while
+        the span tracer watches hooks, a root hook span.
+
+        A module that raises fails closed: the error is counted in
+        ``lsm_module_errors_total`` and a decision hook denies with
+        ``-EACCES`` through the ordinary denial path (AVC audit record,
+        denial counters); the other modules are not asked.
+        """
+        hook = plan.hook
+        stats = self.stats
         latency = self._latency
         tp = self._tp_hook
-        stats = self.stats
+        if tp is not None and not tp.callbacks:
+            tp = None
+        timed = latency is not None or tp is not None
+        spans = self._spans
+        traced = not void and spans is not None and spans.watch_hooks
+        span = self._hook_span(hook, args) if traced else None
         rc = 0
         try:
-            for name, method in self._hook_lists[hook]:
-                t0 = time.perf_counter_ns()
-                rc = method(*args)
-                dt = time.perf_counter_ns() - t0
-                if latency is not None:
-                    self._latency_histogram(name, hook).record(
-                        dt, trace_id=span.trace_id
-                        if span is not None else None)
-                if tp is not None and tp.callbacks:
-                    tp.emit(module=name, hook=hook.value, rc=rc,
-                            latency_ns=dt)
+            for name, site, method in plan.entries:
+                if timed:
+                    t0 = time.perf_counter_ns()
+                try:
+                    rc = method(*args)
+                except Exception as error:
+                    self._module_failed(hook, name, args, error, void)
+                    rc = LsmModule.EACCES
+                if void:
+                    rc = 0  # a notification cannot deny, even on error
+                if timed:
+                    dt = time.perf_counter_ns() - t0
+                    if latency is not None:
+                        self._latency_histogram(name, hook).record(
+                            dt, trace_id=span.trace_id
+                            if span is not None else None)
+                    if tp is not None:
+                        tp.emit(module=name, hook=hook.value, rc=rc,
+                                latency_ns=dt)
                 if stats is not None:
-                    stats.record(name, hook, denied=rc != 0)
+                    stats.record(site, denied=rc != 0)
                 if rc != 0:
                     if span is not None:
                         span.attributes["module"] = name
@@ -548,26 +530,21 @@ class LsmFramework(SecurityHooks):
                     return rc
             return 0
         finally:
-            spans.end_span(span, status="denied" if rc != 0 else "ok")
+            if traced:
+                spans.end_span(span, status="denied" if rc != 0 else "ok")
 
-    def _call_void(self, hook: Hook, *args) -> None:
-        latency = self._latency
-        tp = self._tp_hook
-        observed = latency is not None or (tp is not None and tp.callbacks)
-        for name, method in self._hook_lists[hook]:
-            if observed:
-                t0 = time.perf_counter_ns()
-                method(*args)
-                dt = time.perf_counter_ns() - t0
-                if latency is not None:
-                    self._latency_histogram(name, hook).record(dt)
-                if tp.callbacks:
-                    tp.emit(module=name, hook=hook.value, rc=0,
-                            latency_ns=dt)
-            else:
-                method(*args)
-            if self.stats is not None:
-                self.stats.record(name, hook, denied=False)
+    def _module_failed(self, hook: Hook, module: str, args, error,
+                       void: bool) -> None:
+        """Count a module that raised inside *hook*.  Every such error
+        leaves exactly one audit record: the denial's AVC record where
+        the walk writes one, an ``lsm_error`` record otherwise (void
+        hooks, and ``capable`` probes, whose denials are unaudited)."""
+        obs = self.obs
+        if obs is None:
+            return
+        task = args[0] if args else None
+        obs.module_error(module, hook.value, self._object_path(args), task,
+                         error, audit=void or hook is Hook.CAPABLE)
 
     # -- SecurityHooks implementation -------------------------------------------
     def task_alloc(self, parent, child) -> int:

@@ -39,6 +39,11 @@ class Hook(enum.Enum):
     SOCKET_SENDMSG = "socket_sendmsg"
     SOCKET_RECVMSG = "socket_recvmsg"
 
+    # Members are singletons compared by identity, so identity is a valid
+    # hash too; it keeps every dispatch-path plan probe and cache-key
+    # lookup out of Enum's Python-level ``__hash__``.
+    __hash__ = object.__hash__
+
 
 #: Hooks that return an authorization decision (int); the rest are
 #: notification-only (``void`` in Linux).
@@ -49,8 +54,3 @@ DECISION_HOOKS = frozenset(h for h in Hook
 #: LMBench file benchmarks stress.
 HOT_PATH_HOOKS = frozenset({Hook.FILE_PERMISSION, Hook.FILE_OPEN,
                             Hook.SOCKET_SENDMSG, Hook.SOCKET_RECVMSG})
-
-#: Stable bit position per hook, for the framework's implemented-hook
-#: bitmap (one ``and`` decides "does anyone implement this?" before any
-#: dispatch bookkeeping runs).
-HOOK_BIT = {hook: 1 << index for index, hook in enumerate(Hook)}

@@ -19,6 +19,9 @@ Record kinds:
     One per policy compile/activation: policy name, backend, sizes.
 ``event_rejected``
     One per malformed/unauthorised SACKfs event write.
+``lsm_error``
+    One per LSM module that raised in a hook whose failure writes no
+    ``avc`` record (notification hooks and ``capable`` probes).
 
 The ring is bounded (oldest records drop first, as with
 ``audit_backlog_limit``) and supports field-match filtering both at emit
@@ -39,6 +42,7 @@ AUDIT_POLICY_LOAD = "policy_load"
 AUDIT_EVENT_REJECTED = "event_rejected"
 AUDIT_ROLLBACK = "transition_rollback"
 AUDIT_FAILSAFE = "failsafe"
+AUDIT_LSM_ERROR = "lsm_error"
 
 
 def errno_name(code: int) -> str:

@@ -22,7 +22,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .audit import (AUDIT_AVC, AUDIT_EVENT_REJECTED, AUDIT_FAILSAFE,
-                    AUDIT_POLICY_LOAD, AUDIT_ROLLBACK,
+                    AUDIT_LSM_ERROR, AUDIT_POLICY_LOAD, AUDIT_ROLLBACK,
                     AUDIT_STATE_TRANSITION, AuditRing)
 from .metrics import MetricsRegistry, sample
 from .spans import SpanTracer
@@ -152,6 +152,20 @@ class Observability:
                 comm=getattr(task, "comm", ""),
                 uid=getattr(cred, "euid", -1) if cred is not None else -1,
                 situation=self.situation(), errno=-rc)
+
+    def module_error(self, module: str, hook: str, path: str, task,
+                     error: Exception, audit: bool) -> None:
+        """An LSM module raised inside *hook*: error counter, plus an
+        ``lsm_error`` audit record when *audit* (the framework asks for
+        one only where no denial record covers the failure)."""
+        self.metrics.counter("lsm_module_errors_total",
+                             {"module": module, "hook": hook}).inc()
+        if audit and self.audit.enabled:
+            self.audit.emit(
+                self.now_ns, AUDIT_LSM_ERROR, module=module, hook=hook,
+                path=path, pid=getattr(task, "pid", 0),
+                comm=getattr(task, "comm", ""),
+                detail=f"{type(error).__name__}: {error}")
 
     # -- SSM wiring --------------------------------------------------------
     def attach_ssm(self, ssm, provider=None) -> None:

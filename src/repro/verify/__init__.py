@@ -8,8 +8,7 @@ translation semantics into an explicit finite-state model
 (:mod:`~repro.verify.model`), and checks a declarative library of safety
 properties (:mod:`~repro.verify.properties`) over every reachable
 ``(policy-revision, state)`` node with an exhaustive solver
-(:mod:`~repro.verify.solver`; the interface is pluggable so an SMT
-backend can be added later).
+(:mod:`~repro.verify.solver`; the interface is pluggable).
 
 Violations come back as concrete **counterexample traces**
 (:mod:`~repro.verify.counterexample`) — a transition sequence from the

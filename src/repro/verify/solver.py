@@ -3,11 +3,9 @@
 The shipped backend is :class:`ExhaustiveSolver` — the reachable
 ``(revision, state)`` product is small and enumerable by construction, so
 plain exhaustive enumeration is a complete decision procedure here.  The
-interface is deliberately tiny (a name plus ``run(model, properties)``)
-so an SMT backend can be registered later without touching the checker:
-encode the transition relation and the rule semantics as constraints,
-then emit the same :class:`PropertyResult` rows.  ``get_solver("smt")``
-reports exactly that.
+interface is deliberately tiny (a name plus ``run(model, properties)``):
+:func:`register_solver` adds a backend without touching the checker, as
+long as it emits the same :class:`PropertyResult` rows.
 """
 
 from __future__ import annotations
@@ -80,17 +78,8 @@ class ExhaustiveSolver(Solver):
         return results
 
 
-def _smt_unavailable() -> Solver:
-    raise SolverUnavailable(
-        "the 'smt' backend is a registration point, not an "
-        "implementation: encode the transition relation and rule "
-        "semantics for an SMT solver and register_solver('smt', ...) it; "
-        "the exhaustive solver is complete for these models meanwhile")
-
-
 _SOLVERS: Dict[str, Callable[[], Solver]] = {
     "exhaustive": ExhaustiveSolver,
-    "smt": _smt_unavailable,
 }
 
 

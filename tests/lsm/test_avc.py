@@ -5,8 +5,7 @@ import pytest
 from repro.apparmor import AppArmorLsm
 from repro.kernel import (Capability, Errno, KernelError, OpenFlags,
                           user_credentials)
-from repro.lsm import AvcCore, Hook, HOOK_BIT, LsmFramework, LsmModule, \
-    boot_kernel
+from repro.lsm import AvcCore, Hook, LsmFramework, LsmModule, boot_kernel
 from repro.sack import SackLsm, parse_policy
 from repro.sack.events import SituationEvent
 
@@ -256,9 +255,9 @@ class TestCacheabilityGates:
         sack.load_policy(parse_policy(POLICY))
         kernel.vfs.makedirs("/dev/car")
         kernel.vfs.create_file("/dev/car/speed", mode=0o666)
-        assert framework._avc_plans[Hook.FILE_OPEN] is None
+        assert framework._plans[Hook.FILE_OPEN].extractor is None
         # file_permission has only cacheable modules on its list.
-        assert framework._avc_plans[Hook.FILE_PERMISSION] is not None
+        assert framework._plans[Hook.FILE_PERMISSION].extractor is not None
         task = make_task(kernel, "app")
         read_once(kernel, task, "/dev/car/speed")
         read_once(kernel, task, "/dev/car/speed")
@@ -306,10 +305,10 @@ class TestHookBitmap:
     def test_bitmap_reflects_implemented_hooks(self):
         sack = SackLsm()
         _, framework = boot_kernel([sack])
-        assert framework.hook_bitmap & HOOK_BIT[Hook.FILE_OPEN]
-        assert framework.hook_bitmap & HOOK_BIT[Hook.CAPABLE]
+        assert framework._plans[Hook.FILE_OPEN] is not None
+        assert framework._plans[Hook.CAPABLE] is not None
         # Nobody in this stack implements socket hooks.
-        assert not framework.hook_bitmap & HOOK_BIT[Hook.SOCKET_SENDMSG]
+        assert framework._plans[Hook.SOCKET_SENDMSG] is None
 
     def test_unimplemented_hook_allows_without_dispatch(self):
         sack = SackLsm()

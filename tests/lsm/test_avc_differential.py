@@ -7,13 +7,16 @@ twice: once with the cache enabled, once disabled.  Every per-call
 decision, every denial report and every audit record must be
 bit-identical; the cache may only change *how fast* an answer arrives,
 never the answer, in the spirit of runtime verification against an
-executable model (Efremov & Shchepetkov).
+executable model (Efremov & Shchepetkov).  The same contract holds for
+the dispatch observers (hook latency, the ``lsm:hook_dispatch``
+tracepoint, hook spans): they may watch decisions, never change them.
 """
 
 import random
 
 import pytest
 
+from repro.obs.tracepoints import LSM_HOOK_DISPATCH
 from repro.sack.events import SituationEvent
 from repro.vehicle.devices import IOCTL_SYMBOLS
 from repro.vehicle.ivi import EnforcementConfig, build_ivi_world
@@ -61,10 +64,24 @@ def _one_access(world, rng):
 
 
 def _run_workload(seed, cache_enabled,
-                  config=EnforcementConfig.SACK_INDEPENDENT):
-    """One full seeded run; returns everything the comparison needs."""
+                  config=EnforcementConfig.SACK_INDEPENDENT,
+                  observers=False):
+    """One full seeded run; returns everything the comparison needs.
+
+    *observers* turns on every dispatch observer: hook latency
+    histograms, a ``lsm:hook_dispatch`` callback and a span per hook.
+    """
     world = build_ivi_world(config)
     world.framework.avc.enabled = cache_enabled
+    dispatches = []
+    obs = world.kernel.obs
+    if observers:
+        world.framework.enable_hook_latency()
+        obs.tracepoints.attach(LSM_HOOK_DISPATCH,
+                               lambda name, fields: dispatches.append(
+                                   fields["rc"]))
+        obs.spans.enable()
+        obs.spans.trace_all_hooks()
     rng = random.Random(seed)
     decisions = []
     for phase in urban_commute() + crash_on_highway():
@@ -74,7 +91,6 @@ def _run_workload(seed, cache_enabled,
         for _ in range(PER_PHASE):
             decisions.append(_one_access(world, rng))
     module = world.sack or world.bridge
-    obs = world.kernel.obs
     denial_reports = [r.to_text() for r in obs.audit.records()
                       if r.kind == "avc"]
     module_audit = [(r.kind, r.detail, r.pid, r.comm)
@@ -86,6 +102,9 @@ def _run_workload(seed, cache_enabled,
         "module_audit": module_audit,
         "transitions": module.ssm.transition_count,
         "avc": world.framework.avc.core,
+        "dispatches": dispatches,
+        "hook_spans": obs.spans.started,
+        "latency": world.framework.hook_latency_summary(),
     }
 
 
@@ -127,6 +146,25 @@ def test_cache_on_off_bit_identical_apparmor_bridge():
     assert cached["denial_reports"] == uncached["denial_reports"]
     assert cached["module_audit"] == uncached["module_audit"]
     assert cached["avc"].stale_served == 0
+
+
+@pytest.mark.parametrize("config", [EnforcementConfig.SACK_INDEPENDENT,
+                                    EnforcementConfig.SACK_APPARMOR])
+def test_observers_on_off_bit_identical(config):
+    seed = 7
+    plain = _run_workload(seed, True, config=config)
+    observed = _run_workload(seed, True, config=config, observers=True)
+
+    # Every observer actually fired, on walks and on cache hits alike.
+    assert len(observed["dispatches"]) > 1000
+    assert any(rc != 0 for rc in observed["dispatches"])
+    assert observed["hook_spans"] > len(observed["decisions"])
+    assert observed["latency"]["file_open"]["count"] > 0
+    assert observed["avc"].hits == plain["avc"].hits > 100
+
+    assert observed["decisions"] == plain["decisions"]
+    assert observed["denial_reports"] == plain["denial_reports"]
+    assert observed["module_audit"] == plain["module_audit"]
 
 
 def test_direct_event_storm_never_serves_stale(seed=2024):

@@ -125,9 +125,9 @@ class TestAgreement:
             assert hook in (Hook.FILE_OPEN, Hook.FILE_PERMISSION)
             # The subject half of the key holds one sub-key per module
             # in the hook's plan, in module order.
-            plan = world.framework._dtable_plans[hook]
+            modules = world.framework._plans[hook].table_modules
             expected = AV_ALL
-            for module, module_subject in zip(plan, subject):
+            for module, module_subject in zip(modules, subject):
                 expected &= module.compute_av_for_subject(module_subject,
                                                           path)
                 if not expected:
@@ -141,13 +141,13 @@ class TestAgreement:
         import itertools
         dtable = world.framework.dtable
         for hook in (Hook.FILE_OPEN, Hook.FILE_PERMISSION):
-            plan = world.framework._dtable_plans[hook]
-            assert plan is not None
+            modules = world.framework._plans[hook].table_modules
+            assert modules is not None
             paths = sorted(set().union(
-                *(m.table_paths() for m in plan)))
+                *(m.table_paths() for m in modules)))
             assert paths
             for combo in itertools.product(
-                    *(m.table_subject_keys() for m in plan)):
+                    *(m.table_subject_keys() for m in modules)):
                 for path in paths:
                     assert (hook, combo, path) in dtable._entries
 

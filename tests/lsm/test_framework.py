@@ -124,15 +124,16 @@ class TestHookLists:
     def test_unimplemented_hooks_not_dispatched(self):
         fw = LsmFramework([Recorder("r")])
         # Recorder implements file_open but not inode_create.
-        names = [n for n, _ in fw._hook_lists[Hook.INODE_CREATE]]
-        assert "r" not in names
-        names = [n for n, _ in fw._hook_lists[Hook.FILE_OPEN]]
-        assert "r" in names
+        assert fw._plans[Hook.INODE_CREATE] is None
+        names = [n for n, _site, _ in fw._plans[Hook.FILE_OPEN].entries]
+        assert names == ["r"]
 
     def test_capability_only_on_capable(self):
         fw = LsmFramework([])
-        assert [n for n, _ in fw._hook_lists[Hook.CAPABLE]] == ["capability"]
-        assert fw._hook_lists[Hook.FILE_PERMISSION] == []
+        entries = fw._plans[Hook.CAPABLE].entries
+        assert [(n, site) for n, site, _ in entries] == [
+            ("capability", "capability.capable")]
+        assert fw._plans[Hook.FILE_PERMISSION] is None
 
 
 class TestCapableThroughStack:
@@ -219,3 +220,70 @@ class TestBootKernel:
         kernel, fw = boot_kernel([rec])
         assert rec.kernel is kernel
         assert kernel.security is fw
+
+
+class Broken(LsmModule):
+    """Raises in one decision hook and in the void exec hook."""
+
+    name = "broken"
+
+    def file_permission(self, task, file, mask) -> int:
+        raise RuntimeError("policy walk crashed")
+
+    def bprm_committed_creds(self, task, exe_path) -> None:
+        raise RuntimeError("label update crashed")
+
+
+class Notified(LsmModule):
+    name = "notified"
+
+    def __init__(self):
+        self.execs = []
+
+    def bprm_committed_creds(self, task, exe_path) -> None:
+        self.execs.append(exe_path)
+
+
+def _module_errors(kernel):
+    return [(c["labels"], c["value"])
+            for c in kernel.obs.metrics.to_dict()["counters"]
+            if c["name"] == "lsm_module_errors_total"]
+
+
+class TestModuleErrors:
+    def test_raising_decision_hook_fails_closed(self):
+        after = Recorder("after")
+        kernel, fw = boot_kernel([Broken(), after], collect_stats=True)
+        kernel.vfs.create_file("/f")
+        init = kernel.procs.init
+        fd = kernel.sys_open(init, "/f")
+        # Exported only once a module has failed.
+        assert _module_errors(kernel) == []
+        with pytest.raises(KernelError) as exc:
+            kernel.sys_read(init, fd, 1)
+        assert exc.value.errno == Errno.EACCES
+        records = kernel.obs.audit.records()
+        assert [(r.kind, r.module, r.hook, r.path, r.errno)
+                for r in records] == [
+            ("avc", "broken", "file_permission", "/f", 13)]
+        assert _module_errors(kernel) == [
+            ({"module": "broken", "hook": "file_permission"}, 1)]
+        assert fw.stats.denials["broken.file_permission"] == 1
+        # The failure denied: later modules were not asked.
+        assert ("file_permission", "/f") not in after.calls
+
+    def test_raising_void_hook_is_counted_and_audited(self):
+        notified = Notified()
+        kernel, _ = boot_kernel([Broken(), notified])
+        kernel.vfs.makedirs("/bin")
+        kernel.vfs.create_file("/bin/app", mode=0o755)
+        init = kernel.procs.init
+        kernel.sys_execve(init, "/bin/app")
+        assert init.comm == "app"
+        assert notified.execs == ["/bin/app"]
+        records = kernel.obs.audit.records()
+        assert [(r.kind, r.module, r.hook, r.detail) for r in records] == [
+            ("lsm_error", "broken", "bprm_committed_creds",
+             "RuntimeError: label update crashed")]
+        assert _module_errors(kernel) == [
+            ({"module": "broken", "hook": "bprm_committed_creds"}, 1)]

@@ -193,6 +193,6 @@ class TestEndToEndEnforcement:
         kernel, _, bridge = world
         from repro.lsm import Hook
         fw = kernel.security
-        assert fw._hook_lists[Hook.FILE_OPEN][0][0] == "apparmor"
-        assert all(name != "sack"
-                   for name, _ in fw._hook_lists[Hook.FILE_PERMISSION])
+        assert fw._plans[Hook.FILE_OPEN].entries[0][0] == "apparmor"
+        assert all(name != "sack" for name, _site, _ in
+                   fw._plans[Hook.FILE_PERMISSION].entries)

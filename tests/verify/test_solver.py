@@ -12,15 +12,9 @@ class TestRegistry:
     def test_shipped_names(self):
         names = solver_names()
         assert "exhaustive" in names
-        assert "smt" in names
 
     def test_exhaustive_resolves(self):
         assert isinstance(get_solver("exhaustive"), ExhaustiveSolver)
-
-    def test_smt_is_a_registration_point(self):
-        with pytest.raises(SolverUnavailable) as exc:
-            get_solver("smt")
-        assert "register_solver" in str(exc.value)
 
     def test_unknown_name_lists_the_registry(self):
         with pytest.raises(SolverUnavailable) as exc:
