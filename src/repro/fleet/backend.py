@@ -52,6 +52,24 @@ from .vehicle import FleetVehicle, apply_driver_action
 #: barrier cost — real parallel ticks are bought with real IPC.
 IPC_COST_PER_CROSSING_NS = 100_000
 
+#: What a pipe raises when the worker at its other end is gone.
+_PIPE_LOST = (EOFError, ConnectionResetError, BrokenPipeError)
+
+
+class WorkerLostError(RuntimeError):
+    """A fleet worker process died: its pipe closed mid-RPC.
+
+    Fails the epoch closed instead of surfacing a bare pipe error; the
+    worker's vehicles are unreachable, so the fleet cannot continue.
+    """
+
+    def __init__(self, worker: int, op: str, exitcode: Optional[int]):
+        super().__init__(f"fleet worker {worker} lost during {op!r} "
+                         f"(exitcode {exitcode})")
+        self.worker = worker
+        self.op = op
+        self.exitcode = exitcode
+
 
 class InProcessHost:
     """Vehicles in the coordinator process (serial / threads backends)."""
@@ -318,6 +336,7 @@ class ProcessHost:
             proc.join(timeout=5)
             if proc.is_alive():
                 proc.terminate()
+                proc.join(timeout=5)
 
     # -- RPC plumbing ------------------------------------------------------
     def _rpc_all(self, op: str, payloads: Dict[int, object]
@@ -325,15 +344,26 @@ class ProcessHost:
         if self._closed:
             raise RuntimeError("fleet process backend already closed")
         for w, payload in payloads.items():
-            self._conns[w].send((op, payload))
+            try:
+                self._conns[w].send((op, payload))
+            except _PIPE_LOST as exc:
+                raise self._lost(w, op) from exc
         replies: Dict[int, Any] = {}
         for w in payloads:
-            status, data = self._conns[w].recv()
+            try:
+                status, data = self._conns[w].recv()
+            except _PIPE_LOST as exc:
+                raise self._lost(w, op) from exc
             if status != "ok":
                 raise RuntimeError(
                     f"fleet worker {w} failed during {op!r}:\n{data}")
             replies[w] = data
         return replies
+
+    def _lost(self, w: int, op: str) -> WorkerLostError:
+        proc = self._workers[w]
+        proc.join(timeout=1)    # reap it, so exitcode names the signal
+        return WorkerLostError(w, op, proc.exitcode)
 
     def _rpc_one(self, vid: str, op: str, payload: object) -> Any:
         w = self._owner[vid]

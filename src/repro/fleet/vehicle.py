@@ -341,27 +341,26 @@ class FleetVehicle:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- health ------------------------------------------------------------
-    def _counter_total(self, name: str) -> int:
-        total = 0
-        for row in self.world.kernel.obs.metrics.to_dict()["counters"]:
-            if row["name"] == name:
-                total += int(row["value"])
-        return total
-
     def health_snapshot(self) -> Dict[str, object]:
-        """Deterministic health counters for rollout gating and roll-up."""
+        """Deterministic health counters for rollout gating and roll-up.
+
+        Runs at every epoch barrier, so it reads registered counters
+        directly (:meth:`~repro.obs.metrics.MetricsRegistry.counter_total`)
+        rather than exporting the registry.
+        """
         fs = self.world.sackfs
+        metrics = self.world.kernel.obs.metrics
         wd = fs.watchdog.stats() if fs.watchdog is not None else {}
         return {
             "vehicle": self.vehicle_id,
             "online": self.online,
             "situation": self.situation or "",
             "bundle_version": self.bundle_version,
-            "denials": self._counter_total("lsm_denials_total"),
+            "denials": metrics.counter_total("lsm_denials_total"),
             "failsafe_engagements":
-                self._counter_total("sack_failsafe_engagements_total"),
+                metrics.counter_total("sack_failsafe_engagements_total"),
             "rollbacks":
-                self._counter_total("sack_transition_rollbacks_total"),
+                metrics.counter_total("sack_transition_rollbacks_total"),
             "watchdog_engaged": bool(wd.get("engaged", False)),
             "events_accepted": fs.events_accepted,
             "events_rejected": fs.events_rejected,

@@ -18,10 +18,11 @@ honest:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 
@@ -150,8 +151,7 @@ class Histogram:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One exported series value (collectors return these)."""
 
     name: str
@@ -255,6 +255,43 @@ class MetricsRegistry:
         return {labels: h for (n, labels), h in self._histograms.items()
                 if n == name}
 
+    # -- reads ------------------------------------------------------------
+    def counter_total(self, name: str) -> int:
+        """Sum of every registered counter series called *name*.
+
+        Runs no collector and sorts nothing, so barrier reads (fleet
+        health polls) cost one pass over the registered counters.  The
+        rule that makes this equal to summing ``to_dict()["counters"]``
+        rows: no registered collector emits a series called *name*.
+        A collector-backed name must be read through :meth:`series`.
+        """
+        total = 0
+        for (series_name, _), c in self._counters.items():
+            if series_name == name:
+                total += c.value
+        return total
+
+    def series(self) -> Iterator[Tuple[str, str, LabelPairs,
+                                       Union[float, Histogram]]]:
+        """The one registry walk every export is built on.
+
+        Yields ``(kind, name, labels, value)`` in export order:
+        registered counters, then registered gauges (each sorted by
+        ``(name, labels)``), then collector samples (sorted, stable on
+        ties), then histograms (sorted).  Histograms are yielded as the
+        live :class:`Histogram`, so a reader that needs no percentiles
+        computes none.
+        """
+        for (name, labels), c in sorted(self._counters.items()):
+            yield "counter", name, labels, c.value
+        for (name, labels), g in sorted(self._gauges.items()):
+            yield "gauge", name, labels, g.value
+        # Sample fields 0 and 1 are (name, labels).
+        for s in sorted(self._collected(), key=itemgetter(0, 1)):
+            yield s.kind, s.name, s.labels, s.value
+        for (name, labels), h in sorted(self._histograms.items()):
+            yield "histogram", name, labels, h
+
     # -- export ------------------------------------------------------------
     def _collected(self) -> List[Sample]:
         out: List[Sample] = []
@@ -269,27 +306,20 @@ class MetricsRegistry:
         return out
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot of every series."""
-        counters = []
-        for (name, labels), c in sorted(self._counters.items()):
-            counters.append({"name": name, "labels": dict(labels),
-                             "value": c.value})
-        gauges = []
-        for (name, labels), g in sorted(self._gauges.items()):
-            gauges.append({"name": name, "labels": dict(labels),
-                           "value": g.value})
-        for s in sorted(self._collected(),
-                        key=lambda s: (s.name, s.labels)):
-            row = {"name": s.name, "labels": dict(s.labels),
-                   "value": s.value}
-            (counters if s.kind == "counter" else gauges).append(row)
-        histograms = []
-        for (name, labels), h in sorted(self._histograms.items()):
-            histograms.append({"name": name, "labels": dict(labels),
-                               **h.summary(),
-                               "sum": h.total,
-                               "bounds": list(h.bounds),
-                               "buckets": list(h.bucket_counts)})
+        """JSON-ready snapshot of every series (with p50/p99)."""
+        counters: List[Dict[str, object]] = []
+        gauges: List[Dict[str, object]] = []
+        histograms: List[Dict[str, object]] = []
+        for kind, name, labels, value in self.series():
+            if kind == "histogram":
+                histograms.append({"name": name, "labels": dict(labels),
+                                   **value.summary(),
+                                   "sum": value.total,
+                                   "bounds": list(value.bounds),
+                                   "buckets": list(value.bucket_counts)})
+                continue
+            row = {"name": name, "labels": dict(labels), "value": value}
+            (counters if kind == "counter" else gauges).append(row)
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
 
@@ -300,46 +330,41 @@ class MetricsRegistry:
         """Prometheus text exposition format (0.0.4)."""
         lines: List[str] = []
         seen_types: Dict[str, str] = {}
-
-        def typed(name: str, kind: str) -> None:
+        for kind, name, labels, value in self.series():
             if seen_types.get(name) != kind:
                 lines.append(f"# TYPE {name} {kind}")
                 seen_types[name] = kind
-
-        for (name, labels), c in sorted(self._counters.items()):
-            typed(name, "counter")
-            lines.append(f"{name}{_label_str(labels)} {c.value}")
-        for (name, labels), g in sorted(self._gauges.items()):
-            typed(name, "gauge")
-            lines.append(f"{name}{_label_str(labels)} {g.value:g}")
-        for s in sorted(self._collected(),
-                        key=lambda s: (s.name, s.labels)):
-            typed(s.name, s.kind)
-            lines.append(f"{s.name}{_label_str(s.labels)} {s.value:g}")
-        for (name, labels), h in sorted(self._histograms.items()):
-            typed(name, "histogram")
-
-            def bucket_line(le_value: str, cumulative: int,
-                            idx: int) -> str:
-                le = dict(labels)
-                le["le"] = le_value
-                line = (f"{name}_bucket{_label_str(_label_key(le))} "
-                        f"{cumulative}")
-                exemplar = h.exemplars.get(idx)
-                if exemplar is not None:
-                    trace_id, value = exemplar
-                    line += (f' # {{trace_id="'
-                             f'{_escape_label_value(trace_id)}"}} '
-                             f"{value:g}")
-                return line
-
-            cumulative = 0
-            for idx, (bound, n) in enumerate(zip(h.bounds,
-                                                 h.bucket_counts)):
-                cumulative += n
-                lines.append(bucket_line(f"{bound:g}", cumulative, idx))
-            # The +Inf bucket is mandatory even for an empty histogram.
-            lines.append(bucket_line("+Inf", h.count, len(h.bounds)))
-            lines.append(f"{name}_sum{_label_str(labels)} {h.total:g}")
-            lines.append(f"{name}_count{_label_str(labels)} {h.count}")
+            if kind == "histogram":
+                _histogram_lines(lines, name, labels, value)
+            elif kind == "counter" and type(value) is int:
+                # Registered counters print exactly; collector samples
+                # are floats and print %g like gauges.
+                lines.append(f"{name}{_label_str(labels)} {value}")
+            else:
+                lines.append(f"{name}{_label_str(labels)} {value:g}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _histogram_lines(lines: List[str], name: str, labels: LabelPairs,
+                     h: Histogram) -> None:
+    """Append one histogram's cumulative buckets, sum and count."""
+
+    def bucket_line(le_value: str, cumulative: int, idx: int) -> str:
+        le = dict(labels)
+        le["le"] = le_value
+        line = f"{name}_bucket{_label_str(_label_key(le))} {cumulative}"
+        exemplar = h.exemplars.get(idx)
+        if exemplar is not None:
+            trace_id, value = exemplar
+            line += (f' # {{trace_id="{_escape_label_value(trace_id)}"}} '
+                     f"{value:g}")
+        return line
+
+    cumulative = 0
+    for idx, (bound, n) in enumerate(zip(h.bounds, h.bucket_counts)):
+        cumulative += n
+        lines.append(bucket_line(f"{bound:g}", cumulative, idx))
+    # The +Inf bucket is mandatory even for an empty histogram.
+    lines.append(bucket_line("+Inf", h.count, len(h.bounds)))
+    lines.append(f"{name}_sum{_label_str(labels)} {h.total:g}")
+    lines.append(f"{name}_count{_label_str(labels)} {h.count}")

@@ -83,34 +83,42 @@ class TelemetryFrame:
         return doc
 
 
+def _pairs_key(name: str, labels: Tuple[Tuple[str, str], ...]) -> str:
+    """:func:`series_key` of already-sorted registry label pairs."""
+    if not labels:
+        return name
+    return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
+
+
 def snapshot_frame(obs, vehicle_id: str, epoch: int,
                    at_ns: int) -> TelemetryFrame:
     """Capture one kernel's :class:`Observability` into a frame.
 
-    Reads ``obs.metrics.to_dict()`` — the registry's collectors run, so
+    Walks ``obs.metrics.series()`` — the registry's collectors run, so
     AVC stats, ring drop counters, SSM/SACKfs stats are all included
-    without duplicating any state.
+    without duplicating any state — but builds no export document and
+    computes no histogram percentiles (a frame carries buckets only).
+    Counter series that render to one key are summed; for gauges and
+    histograms the last one in walk order wins.
     """
-    doc = obs.metrics.to_dict()
     counters: Dict[str, float] = {}
-    for row in doc.get("counters", []):
-        key = series_key(row["name"], row.get("labels") or {})
-        counters[key] = counters.get(key, 0.0) + float(row["value"])
     gauges: Dict[str, float] = {}
-    for row in doc.get("gauges", []):
-        gauges[series_key(row["name"], row.get("labels") or {})] = \
-            float(row["value"])
     histograms: Dict[str, Dict[str, object]] = {}
-    for row in doc.get("histograms", []):
-        key = series_key(row["name"], row.get("labels") or {})
-        histograms[key] = {
-            "count": int(row["count"]),
-            "sum": float(row.get("sum", 0.0)),
-            "min": float(row.get("min", 0.0)),
-            "max": float(row.get("max", 0.0)),
-            "bounds": list(row.get("bounds", [])),
-            "buckets": list(row.get("buckets", [])),
-        }
+    for kind, name, labels, value in obs.metrics.series():
+        key = _pairs_key(name, labels)
+        if kind == "counter":
+            counters[key] = counters.get(key, 0.0) + float(value)
+        elif kind == "histogram":
+            histograms[key] = {
+                "count": int(value.count),
+                "sum": float(value.total),
+                "min": float(value.min or 0.0),
+                "max": float(value.max or 0.0),
+                "bounds": list(value.bounds),
+                "buckets": list(value.bucket_counts),
+            }
+        else:
+            gauges[key] = float(value)
     return TelemetryFrame(schema=TELEMETRY_SCHEMA,
                           vehicle_id=vehicle_id, epoch=epoch,
                           at_ns=at_ns, counters=counters,

@@ -9,10 +9,15 @@ equality against its serial twin — recovery must not just work, it must
 work *identically*.
 """
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
 from repro.faults import points as fp
 from repro.faults.plan import FaultRule
+from repro.fleet.backend import WorkerLostError
 from repro.fleet.bundle import BundleSigner, make_bundle
 from repro.fleet.orchestrator import Fleet, FleetConfig, ScriptedDriver
 from repro.fleet.rollout import RolloutState
@@ -173,3 +178,23 @@ class TestProcessHostLifecycle:
             rows = fleet.host.checkpoint_rows()
             assert {row["vehicle"] for row in rows} == set(fleet.ids)
             assert all(row["digest"] for row in rows)
+
+
+class TestWorkerLoss:
+    def test_killed_worker_fails_closed_and_close_reaps_all(self):
+        fleet = _fleet(n=4, workers=2)
+        try:
+            fleet.run_epoch()
+            victim = fleet.host._workers[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            with pytest.raises(WorkerLostError) as info:
+                fleet.run_epoch()
+            lost = info.value
+            assert lost.worker == 1
+            assert lost.exitcode == -signal.SIGKILL
+            assert lost.op == "barrier_a"   # the epoch's first RPC
+            assert "fleet worker 1" in str(lost)
+        finally:
+            fleet.close()
+        assert multiprocessing.active_children() == []
